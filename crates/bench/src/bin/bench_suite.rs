@@ -549,8 +549,8 @@ const DRIVER_BATCH: u64 = 32;
 /// conservation and stats consistency.
 ///
 /// With `batching`, workers claim [`DRIVER_BATCH`] slots at a time and
-/// submit them through the ring-fed [`Cluster::invoke_batch`] path —
-/// the default, and what the `--gate-min-ips` floor measures. Without
+/// submit them through [`Cluster::invoke_batch`] — the default, and
+/// what the `--gate-min-ips` floor measures. Without
 /// it (`--disable-batching`) each slot goes through the sequential
 /// [`Cluster::invoke`] path; CI uses that as the floor gate's negative
 /// test. Virtual-latency leaves are identical either way at one driver
@@ -609,20 +609,17 @@ fn throughput_run(
                         starved: 0,
                     };
                     if batching {
-                        // Batched driver: claim a run of slots, submit
-                        // them through the per-host rings, and keep
-                        // draining until the call returns clean. The
-                        // drains are cooperative, so a worker's batch
-                        // may serve requests another worker enqueued —
-                        // successes count records *received*, which is
-                        // conserved across workers.
+                        // Batched driver: claim a run of slots and submit
+                        // them as one batch. A failed call returns what
+                        // it served and hands the rest back, so the
+                        // worker re-submits its unserved remainder.
                         let mut got: Vec<(HostId, horse_faas::InvocationRecord)> =
-                            Vec::with_capacity(2 * DRIVER_BATCH as usize);
-                        let mut drain = |r: &mut WorkerResult, enqueue: usize| loop {
+                            Vec::with_capacity(DRIVER_BATCH as usize);
+                        let mut submit = |r: &mut WorkerResult, mut want: usize| loop {
                             let t0 = Instant::now();
                             got.clear();
                             let result =
-                                cluster.invoke_batch(f, StartStrategy::Horse, enqueue, &mut got);
+                                cluster.invoke_batch(f, StartStrategy::Horse, want, &mut got);
                             if !got.is_empty() {
                                 // Amortized wall share: the batch is the
                                 // unit of work, each record gets its
@@ -634,11 +631,12 @@ fn throughput_run(
                                     r.virt_total.record(record.total_ns());
                                 }
                                 r.successes += got.len() as u64;
+                                want -= got.len();
                             }
                             match result {
                                 Ok(_) => return true,
-                                // Transient dry pool: the unserved tail
-                                // went back into the rings — mop up.
+                                // Transient dry pool: re-submit the
+                                // unserved remainder.
                                 Err(FaasError::NoWarmSandbox { .. }) => {
                                     r.retries += 1;
                                     std::thread::yield_now();
@@ -655,13 +653,10 @@ fn throughput_run(
                                 break;
                             }
                             let want = DRIVER_BATCH.min(budget - start) as usize;
-                            if !drain(&mut r, want) {
+                            if !submit(&mut r, want) {
                                 break;
                             }
                         }
-                        // Final mop-up: leftovers another worker's error
-                        // returned to the rings after our last drain.
-                        drain(&mut r, 0);
                         return r;
                     }
                     while next_slot.fetch_add(1, Ordering::Relaxed) < budget {

@@ -11,10 +11,9 @@
 //! CI asserts this for every mutation — the harness's negative control.
 
 use horse_check::{
-    check_linearizable_bounded, coalesce_oracle_case, explore, explore_ring, explore_splice,
-    merge_oracle_case, run_pool_trajectory, vmm_differential_case, Event, ExploreConfig, History,
-    LinearizeError, Mutation, PoolOp, PoolResult, RingExploreConfig, SchedulePolicy,
-    SpliceExploreConfig, TickSource,
+    check_linearizable_bounded, coalesce_oracle_case, explore, explore_splice, merge_oracle_case,
+    run_pool_trajectory, vmm_differential_case, Event, ExploreConfig, History, LinearizeError,
+    Mutation, PoolOp, PoolResult, SchedulePolicy, SpliceExploreConfig, TickSource,
 };
 use horse_faas::{KeepAlive, ShardedWarmPool};
 use horse_sched::SandboxId;
@@ -282,33 +281,7 @@ fn main() {
         }
     });
 
-    // 4b. Deterministic interleaving exploration of the batched invoke
-    //    path's MPSC submission ring: no loss, no duplication, FIFO per
-    //    producer, full/empty edges honest.
-    suite.section("ring-explore", |s| {
-        let cfg = RingExploreConfig::default();
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::Random,
-            SchedulePolicy::Pct { depth: 3 },
-        ] {
-            for i in 0..3u64 {
-                let esee = s.seed.wrapping_add(i);
-                let r = explore_ring(&cfg, policy, esee);
-                if let Some(v) = r.violation {
-                    s.fail(
-                        "ring-explore",
-                        format!(
-                            "policy {policy} seed {esee}: {v}\n  schedule decisions: {:?}",
-                            r.decisions
-                        ),
-                    );
-                }
-            }
-        }
-    });
-
-    // 4c. Deterministic interleaving exploration of the real 𝒫²𝒮ℳ
+    // 4b. Deterministic interleaving exploration of the real 𝒫²𝒮ℳ
     //    splice workers: one splice per granted step, merged queue
     //    compared against the sequential merge-walk oracle (multiset AND
     //    FIFO order). `--mutate splice-worker-misorder` plants a worker

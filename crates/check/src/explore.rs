@@ -169,8 +169,8 @@ struct WorkerReply {
     held: Option<Vec<SandboxId>>, // populated on Stop
 }
 
-/// The seeded scheduler over runnable workers. Shared with the ring
-/// explorer ([`crate::ring_explore`]), which steps a different system
+/// The seeded scheduler over runnable workers. Shared with the splice
+/// explorer ([`crate::splice_explore`]), which steps a different system
 /// under the same policies.
 pub(crate) struct Scheduler {
     policy: SchedulePolicy,

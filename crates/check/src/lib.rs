@@ -44,7 +44,6 @@ pub mod history;
 pub mod linearize;
 pub mod mutate;
 pub mod reliability_oracle;
-pub mod ring_explore;
 pub mod spec;
 pub mod splice_explore;
 
@@ -60,7 +59,6 @@ pub use mutate::Mutation;
 pub use reliability_oracle::{
     check_ledgers, run_reliability_scenario, DispositionTally, OracleReport, ReliabilityScenario,
 };
-pub use ring_explore::{explore_ring, RingExploration, RingExploreConfig};
 pub use spec::{spec_expired, SpecLoad, SpecPool, SpecRunQueue};
 pub use splice_explore::{
     explore_splice, SpliceExploration, SpliceExploreConfig, SpliceStepRecord,

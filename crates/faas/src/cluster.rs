@@ -12,7 +12,6 @@ use crate::invocation::{InvocationRecord, StartStrategy};
 use crate::platform::{FaasError, FaasPlatform, PlatformConfig};
 use crate::pool::PoolStats;
 use crate::registry::FunctionId;
-use crate::ring::{RingFull, SubmissionRing};
 use horse_faults::{FaultInjector, FaultSite, RecoveryOutcome, RetryPolicy};
 use horse_reliability::{
     AdmissionController, BreakerRegistry, BreakerState, BreakerTransition, ChurnEvent, Deadline,
@@ -217,17 +216,11 @@ pub struct Cluster {
     /// Reliability plane (deadlines, hedging, breakers, admission);
     /// absent until [`Cluster::set_reliability`] installs it.
     reliability: Option<ReliabilityPlane>,
-    /// One fixed-capacity submission ring per host, feeding the batched
-    /// invoke path ([`Cluster::invoke_batch`]): producers route and
-    /// enqueue, drainers serve whole per-host runs through
-    /// [`FaasPlatform::invoke_batch`].
-    batch_rings: Vec<SubmissionRing>,
 }
 
-/// Capacity of each host's batch submission ring. Rounded to a power
-/// of two by the ring; sized so a full per-host batch of any sane
-/// driver fits without inline drains.
-const BATCH_RING_CAPACITY: usize = 1024;
+/// Fleets up to this size tally a batch's per-host shares on the stack,
+/// so a plain request allocates nothing.
+const INLINE_HOSTS: usize = 32;
 
 impl Cluster {
     /// Builds a cluster of `hosts` identical hosts with per-host derived
@@ -265,9 +258,6 @@ impl Cluster {
             .collect();
         let alive = (0..hosts.len()).map(|_| AtomicBool::new(true)).collect();
         let alive_list = RwLock::new(Arc::new((0..hosts.len()).collect()));
-        let batch_rings = (0..hosts.len())
-            .map(|_| SubmissionRing::with_capacity(BATCH_RING_CAPACITY))
-            .collect();
         Self {
             hosts,
             alive,
@@ -277,7 +267,6 @@ impl Cluster {
             injector: FaultInjector::disabled(),
             recorder: Recorder::disabled(),
             reliability: None,
-            batch_rings,
         }
     }
 
@@ -545,7 +534,8 @@ impl Cluster {
 
     /// Routes one invocation per the dispatch policy, failing over to the
     /// next host if the chosen host's pool is empty. Returns the serving
-    /// host and the record.
+    /// host and the record. A batch of one: the same path as
+    /// [`Cluster::invoke_batch`].
     ///
     /// # Errors
     ///
@@ -555,21 +545,115 @@ impl Cluster {
         function: FunctionId,
         strategy: StartStrategy,
     ) -> Result<(HostId, InvocationRecord), FaasError> {
-        // Trace context: routing is part of the invocation it serves, so
-        // the cluster mints the id *before* routing — host-failure fault
-        // events and every downstream host/vmm span carry it. The serving
-        // host reuses the installed context instead of minting its own.
-        let invocation = self.recorder.mint_invocation();
-        self.recorder
-            .set_context(horse_telemetry::TraceContext::root(invocation));
-        let result = self.invoke_routed(function, strategy);
-        self.recorder.clear_context();
-        result
+        let mut served = None;
+        self.serve_plain(function, strategy, 1, &mut |host, record| {
+            served = Some((host, record))
+        })?;
+        Ok(served.expect("a served batch of one yields its record"))
+    }
+
+    /// Invokes a function `count` times: every request is routed (the
+    /// dispatch policy, cursor and chaos checks), then each host's share
+    /// is served by one amortized call into the host's request loop,
+    /// failing over to the next alive host when a pool runs dry.
+    /// Appends `(host, record)` pairs to `out` and returns how many
+    /// invocations this call served (`count` on success).
+    ///
+    /// At one driver thread the per-host record sequences are
+    /// bit-identical to `count` sequential [`Cluster::invoke`] calls
+    /// under [`DispatchPolicy::RoundRobin`] — only the interleaving
+    /// across hosts differs (output is grouped by host). Under
+    /// [`DispatchPolicy::WarmestPool`] the whole batch is routed before
+    /// any request is served, so routing sees pool sizes frozen at
+    /// batch entry.
+    ///
+    /// # Errors
+    ///
+    /// Routing errors ([`FaasError::NoHealthyHost`]) and the first host
+    /// error that failover cannot absorb. On error, `out` holds exactly
+    /// the records served so far and every other request is the
+    /// caller's to re-submit — the cluster keeps nothing behind.
+    pub fn invoke_batch(
+        &self,
+        function: FunctionId,
+        strategy: StartStrategy,
+        count: usize,
+        out: &mut Vec<(HostId, InvocationRecord)>,
+    ) -> Result<usize, FaasError> {
+        let before = out.len();
+        self.serve_plain(function, strategy, count, &mut |host, record| {
+            out.push((host, record))
+        })?;
+        Ok(out.len() - before)
+    }
+
+    /// The plain request path behind [`Cluster::invoke`] and
+    /// [`Cluster::invoke_batch`]: route the whole batch, tallying each
+    /// host's share, then serve the shares in host order.
+    fn serve_plain(
+        &self,
+        function: FunctionId,
+        strategy: StartStrategy,
+        count: usize,
+        sink: &mut impl FnMut(HostId, InvocationRecord),
+    ) -> Result<(), FaasError> {
+        let mut inline = [0usize; INLINE_HOSTS];
+        let mut heap = Vec::new();
+        let shares: &mut [usize] = if self.hosts.len() <= INLINE_HOSTS {
+            &mut inline[..self.hosts.len()]
+        } else {
+            heap.resize(self.hosts.len(), 0);
+            &mut heap
+        };
+        for _ in 0..count {
+            shares[self.route_one(function, strategy)?] += 1;
+        }
+        for (host, &share) in shares.iter().enumerate() {
+            if share > 0 {
+                self.serve_share(host, function, strategy, share, sink)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Serves `count` requests starting at host `start`: on
+    /// [`FaasError::NoWarmSandbox`] the unserved part fails over to the
+    /// next alive host, until every host has been tried.
+    fn serve_share(
+        &self,
+        start: usize,
+        function: FunctionId,
+        strategy: StartStrategy,
+        count: usize,
+        sink: &mut impl FnMut(HostId, InvocationRecord),
+    ) -> Result<(), FaasError> {
+        let n = self.hosts.len();
+        let mut left = count;
+        let mut last_err = FaasError::NoHealthyHost;
+        for off in 0..n {
+            let idx = (start + off) % n;
+            if !self.alive[idx].load(Ordering::Acquire) {
+                continue;
+            }
+            let want = left;
+            let served = self.hosts[idx].serve(function, strategy, want, None, &mut |record| {
+                left -= 1;
+                sink(HostId(idx), record)
+            });
+            match served {
+                Ok(()) => return Ok(()),
+                Err(e @ FaasError::NoWarmSandbox { .. }) => last_err = e,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(last_err)
     }
 
     /// One routing decision: the chaos-plane host-failure check (the
     /// victim is the host the policy would have picked), then the
-    /// dispatch policy's choice among the survivors.
+    /// dispatch policy's choice among the survivors. Routing runs in the
+    /// caller's trace context: its chaos events belong to the routing
+    /// step, not to any one request (DESIGN.md §9).
     fn route_one(&self, function: FunctionId, strategy: StartStrategy) -> Result<usize, FaasError> {
         // Chaos: a whole host dies as the request arrives. The victim is
         // the host the policy would have routed to; its warm capacity is
@@ -594,164 +678,6 @@ impl Cluster {
         }
         self.route_start(function, strategy)
             .ok_or(FaasError::NoHealthyHost)
-    }
-
-    fn invoke_routed(
-        &self,
-        function: FunctionId,
-        strategy: StartStrategy,
-    ) -> Result<(HostId, InvocationRecord), FaasError> {
-        let start = self.route_one(function, strategy)?;
-        let n = self.hosts.len();
-        let mut last_err = None;
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if !self.alive[idx].load(Ordering::Acquire) {
-                continue;
-            }
-            match self.hosts[idx].invoke(function, strategy) {
-                Ok(record) => return Ok((HostId(idx), record)),
-                Err(e @ FaasError::NoWarmSandbox { .. }) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.expect("at least one attempt"))
-    }
-
-    // ---- batched invoke path --------------------------------------------
-
-    /// Invokes a function `count` times through the **batched** path:
-    /// every request is routed (the same policy, cursor and chaos
-    /// checks as [`Cluster::invoke`]) and enqueued onto its host's
-    /// fixed-capacity MPSC [`SubmissionRing`]; the rings then drain in
-    /// submission order, each per-host run served by one amortized
-    /// [`FaasPlatform::invoke_batch`] call. Appends `(host, record)`
-    /// pairs to `out` and returns how many invocations this call
-    /// served.
-    ///
-    /// At one driver thread the per-host record sequences are
-    /// bit-identical to `count` sequential [`Cluster::invoke`] calls
-    /// under [`DispatchPolicy::RoundRobin`] — only the interleaving
-    /// across hosts differs (batch output is grouped by host). Under
-    /// [`DispatchPolicy::WarmestPool`] the batched path routes the
-    /// whole batch before any request is served, so routing sees pool
-    /// sizes frozen at batch entry.
-    ///
-    /// Concurrent callers cooperate: requests another thread enqueued
-    /// may be served (and returned) by this call's drain, so a caller's
-    /// `out` can hold more or fewer records than it enqueued — totals
-    /// across callers are conserved. A full ring drains inline and the
-    /// push retries; nothing spins.
-    ///
-    /// # Errors
-    ///
-    /// Routing errors ([`FaasError::NoHealthyHost`]) and host errors
-    /// from the batch serve. On error, records completed so far remain
-    /// in `out` and every unserved request stays in (or is returned to)
-    /// its host's ring, so the next batched call serves it — `count: 0`
-    /// is the mop-up call: it enqueues nothing and just drains.
-    pub fn invoke_batch(
-        &self,
-        function: FunctionId,
-        strategy: StartStrategy,
-        count: usize,
-        out: &mut Vec<(HostId, InvocationRecord)>,
-    ) -> Result<usize, FaasError> {
-        let mut served = 0usize;
-        let mut records: Vec<InvocationRecord> = Vec::new();
-        for _ in 0..count {
-            let host = self.route_one(function, strategy)?;
-            let mut pending = Request {
-                function,
-                strategy,
-                class: RequestClass::Ull,
-                deadline_ns: None,
-            };
-            while let Err(RingFull(back)) = self.batch_rings[host].push(pending) {
-                pending = back;
-                served += self.drain_host_ring(host, &mut records, out)?;
-            }
-        }
-        for host in 0..self.hosts.len() {
-            served += self.drain_host_ring(host, &mut records, out)?;
-        }
-        Ok(served)
-    }
-
-    /// Drains one host's submission ring, serving maximal runs of equal
-    /// `(function, strategy)` through the host's amortized batch path.
-    /// Returns the number of invocations served. `records` is reusable
-    /// scratch (drained into `out` between runs).
-    ///
-    /// Conservation on error: a host error mid-run leaves the run's
-    /// unserved tail popped but not invoked — those requests (and the
-    /// already-popped request that triggered the flush) are pushed back
-    /// onto the ring before the error propagates, so a later batched
-    /// call serves them. Plain-path requests within a run are
-    /// interchangeable (identical `(function, strategy)` payloads), so
-    /// the re-enqueue position does not change what is served.
-    fn drain_host_ring(
-        &self,
-        host: usize,
-        records: &mut Vec<InvocationRecord>,
-        out: &mut Vec<(HostId, InvocationRecord)>,
-    ) -> Result<usize, FaasError> {
-        let ring = &self.batch_rings[host];
-        let mut served = 0usize;
-        let mut run: Option<(FunctionId, StartStrategy, usize)> = None;
-        loop {
-            let next = ring.pop();
-            let flush = match (&run, &next) {
-                (Some((f, s, _)), Some(r)) => r.function != *f || r.strategy != *s,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if flush {
-                let (f, s, n) = run.take().expect("flush implies a pending run");
-                let result = self.hosts[host].invoke_batch(f, s, n, records);
-                let completed = records.len();
-                for r in records.drain(..) {
-                    out.push((HostId(host), r));
-                    served += 1;
-                }
-                if let Err(e) = result {
-                    for _ in completed..n {
-                        self.requeue(ring, f, s);
-                    }
-                    if let Some(r) = next {
-                        self.requeue(ring, r.function, r.strategy);
-                    }
-                    return Err(e);
-                }
-            }
-            match next {
-                Some(r) => {
-                    run = Some(match run.take() {
-                        Some((f, s, n)) => (f, s, n + 1),
-                        None => (r.function, r.strategy, 1),
-                    });
-                }
-                None => return Ok(served),
-            }
-        }
-    }
-
-    /// Pushes one reconstructed plain-path request back onto `ring`
-    /// (the error-path conservation step of [`Self::drain_host_ring`]).
-    /// Spins with yields on a full ring: any concurrent producer that
-    /// filled it drains every ring before returning, so the wait is
-    /// bounded by one batch serve.
-    fn requeue(&self, ring: &SubmissionRing, function: FunctionId, strategy: StartStrategy) {
-        let mut pending = Request {
-            function,
-            strategy,
-            class: RequestClass::Ull,
-            deadline_ns: None,
-        };
-        while let Err(RingFull(back)) = ring.push(pending) {
-            pending = back;
-            std::thread::yield_now();
-        }
     }
 
     // ---- reliability plane ----------------------------------------------
@@ -910,27 +836,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Drains a [`SubmissionRing`] and submits everything it held as
-    /// one batch, in ring (submission) order. This is the ring-fed
-    /// reliability entry point: producers on any number of threads
-    /// `push` requests; a drainer calls `submit_ring`. With one
-    /// producer the drained order is the push order, so dispositions,
-    /// ledger tallies and forensic trees are **bit-identical** to
-    /// pushing each request through [`Cluster::submit`] one at a time —
-    /// the equivalence the batch tests pin (provided admission capacity
-    /// is not binding: [`Cluster::submit_batch`] holds the whole
-    /// batch's slots while admitting, where the sequential path
-    /// releases each before the next).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reliability plane is not installed.
-    pub fn submit_ring(&self, ring: &SubmissionRing) -> Vec<Disposition> {
-        let mut requests = Vec::with_capacity(ring.len());
-        ring.drain_into(&mut requests);
-        self.submit_batch(&requests)
-    }
-
     /// Serves one admitted request under its own trace context (routing,
     /// retries and the hedge all share the invocation id).
     fn serve_admitted(
@@ -1020,8 +925,7 @@ impl Cluster {
             // under the Submit root.
             let attempt_t0 = self.recorder.now_ns();
             self.recorder.set_parent(Some(EventKind::RouteAttempt));
-            let attempted =
-                self.hosts[host].invoke_with_budget(req.function, req.strategy, remaining);
+            let attempted = self.hosts[host].serve_one(req.function, req.strategy, remaining);
             self.recorder.set_parent(Some(EventKind::Submit));
             self.recorder.span_at(
                 EventKind::RouteAttempt,
@@ -1123,11 +1027,8 @@ impl Cluster {
                     self.recorder.count(Counter::HedgesLaunched, 1);
                     let hedge_t0 = self.recorder.now_ns();
                     self.recorder.set_parent(Some(EventKind::HedgeAttempt));
-                    let hedge_attempt = self.hosts[hedge_host].invoke_with_budget(
-                        req.function,
-                        req.strategy,
-                        budget,
-                    );
+                    let hedge_attempt =
+                        self.hosts[hedge_host].serve_one(req.function, req.strategy, budget);
                     self.recorder.set_parent(Some(EventKind::Submit));
                     self.recorder.span_at(
                         EventKind::HedgeAttempt,
@@ -1425,6 +1326,40 @@ mod tests {
             RecoveryOutcome::HostEvacuated { rebalanced: 2 }
         );
         assert_eq!(c.injector().unresolved(), 0);
+    }
+
+    #[test]
+    fn routing_chaos_events_run_in_the_callers_context() {
+        // One rule for one request and for many (DESIGN.md §9): a host
+        // failure fires while the batch is routed, before any request is
+        // served, so it carries the caller's context (none here) while
+        // every served request mints its own id.
+        for count in [1, 3] {
+            let (mut c, f) = cluster(3, DispatchPolicy::RoundRobin);
+            c.provision_all(f, 2, StartStrategy::Horse).unwrap();
+            let recorder = Recorder::enabled();
+            c.set_recorder(recorder.clone());
+            c.set_injector(FaultInjector::new(
+                5,
+                FaultPlan::new().with(FaultSite::HostFailure, FaultTrigger::Once(1)),
+            ));
+            let mut out = Vec::new();
+            c.invoke_batch(f, StartStrategy::Horse, count, &mut out)
+                .unwrap();
+            assert_eq!(out.len(), count);
+            let snapshot = recorder.drain();
+            let fault = snapshot
+                .events
+                .iter()
+                .find(|e| e.kind == EventKind::FaultInjected)
+                .expect("the host failure is recorded");
+            assert_eq!(fault.invocation, 0, "count {count}");
+            let mut ids: Vec<u64> = out.iter().map(|(_, r)| r.invocation).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), count, "one id per served request");
+            assert!(!ids.contains(&0));
+        }
     }
 
     // ---- reliability plane ----------------------------------------------

@@ -22,7 +22,6 @@ mod platform;
 mod pool;
 mod registry;
 pub mod replay;
-mod ring;
 mod sharded_pool;
 mod ull_scaler;
 
@@ -31,6 +30,5 @@ pub use invocation::{InvocationRecord, StartStrategy};
 pub use platform::{FaasError, FaasPlatform, PlatformConfig, WARM_TRIGGER_NS};
 pub use pool::{KeepAlive, PoolStats, WarmPool};
 pub use registry::{FunctionId, FunctionMeta, FunctionRegistry};
-pub use ring::{RingFull, SubmissionRing};
 pub use sharded_pool::{ShardedWarmPool, SHARD_COUNT, SLOTS_PER_SHARD};
 pub use ull_scaler::{UllScaler, UllScalerConfig};

@@ -428,7 +428,8 @@ impl FaasPlatform {
 
     /// Invokes a function with the given start strategy, returning the
     /// initialization/execution record. Warm-pool sandboxes are paused
-    /// back into the pool after execution (keep-alive).
+    /// back into the pool after execution (keep-alive). A batch of one:
+    /// the same request loop as [`Self::invoke_batch`].
     ///
     /// # Errors
     ///
@@ -441,123 +442,15 @@ impl FaasPlatform {
         function: FunctionId,
         strategy: StartStrategy,
     ) -> Result<InvocationRecord, FaasError> {
-        self.invoke_with_budget(function, strategy, None)
+        self.serve_one(function, strategy, None)
     }
 
-    /// [`Self::invoke`] carrying a deadline budget (virtual ns). The
-    /// budget is enforced at the pool-take boundary (recovery backoffs
-    /// and re-provisioning boots must not eat it) and at the resume
-    /// boundary (initialization itself must fit); a blown budget
-    /// surfaces as [`FaasError::DeadlineExceeded`] naming the boundary.
-    /// `None` disables enforcement — identical to [`Self::invoke`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::invoke`] returns, plus
-    /// [`FaasError::DeadlineExceeded`].
-    pub fn invoke_with_budget(
-        &self,
-        function: FunctionId,
-        strategy: StartStrategy,
-        budget_ns: Option<u64>,
-    ) -> Result<InvocationRecord, FaasError> {
-        // Allocation attribution: everything on the invoke path defaults
-        // to the `Invoke` phase; the pool take and the inner pause/resume
-        // pipelines re-scope themselves more precisely.
-        let _alloc = AllocScope::enter(AllocPhase::Invoke);
-        let (cfg, category) = {
-            let registry = self.registry.read();
-            let meta = registry
-                .get(function)
-                .ok_or(FaasError::UnknownFunction(function))?;
-            (meta.config(), meta.category())
-        };
-        let exec_ns = self.sample_exec_ns(category);
-
-        // Trace context: mint an invocation id here — unless the cluster
-        // routing layer already installed one (its routing/fault events
-        // precede this call and must carry the same id). The context's
-        // parent is the invoke-phase span, so the warm-pool take, the
-        // scheduler's dispatch instants, the resume steps and the
-        // keep-alive re-pause all attach to the invocation they serve.
-        let outer = self.recorder.context();
-        let invocation = if outer.is_traced() {
-            outer.invocation
-        } else {
-            self.recorder.mint_invocation()
-        };
-        self.recorder.set_context(TraceContext {
-            invocation,
-            parent: Some(Self::invoke_kind(strategy)),
-        });
-
-        // Telemetry: the invoke span covers initialization, the exec span
-        // follows it, and the keep-alive re-pause (its own spans) comes
-        // after execution — the pipeline order an operator expects to see
-        // in the trace.
-        // When the cluster routing layer installed an outer context, its
-        // parent kind (a routing or hedge attempt span) becomes the
-        // invoke span's causal parent, so stitched submission trees run
-        // submit → attempt → invoke → resume steps. On the plain invoke
-        // path the invoke span stays the trace root.
-        let outer_parent = if outer.is_traced() {
-            outer.parent
-        } else {
-            None
-        };
-        let t0 = self.recorder.now_ns();
-        let mut pool = None;
-        let dispatched = self.dispatch_invoke(
-            function,
-            strategy,
-            cfg,
-            exec_ns,
-            t0,
-            budget_ns,
-            outer_parent,
-            &mut pool,
-        );
-        if dispatched.is_err() && outer.is_traced() && self.recorder.is_enabled() {
-            // Under the cluster plane a failed attempt still emitted
-            // children (pool takes, fault recovery, deadline re-pooling)
-            // parented to the invoke kind; a synthetic invoke span
-            // covering the attempt keeps them stitchable instead of
-            // orphaned. The plain path keeps its contract: a failed
-            // invoke records no invoke span.
-            let now = self.recorder.now_ns();
-            self.recorder.set_parent(outer_parent);
-            let dur = now.saturating_sub(t0);
-            self.recorder
-                .span_at(Self::invoke_kind(strategy), 0, t0, dur, dur);
-        }
-        // Restore the caller's context before propagating any error so a
-        // failed invocation cannot leak its id onto unrelated work.
-        if outer.is_traced() {
-            self.recorder.set_context(outer);
-        } else {
-            self.recorder.clear_context();
-        }
-        let init_ns = dispatched?;
-        self.recorder.count(Self::invoke_counter(strategy), 1);
-        if self.recorder.is_enabled() {
-            self.emit_pool_gauges();
-        }
-
-        Ok(InvocationRecord {
-            function,
-            strategy,
-            init_ns,
-            exec_ns,
-            invocation,
-        })
-    }
-
-    /// Invokes a function `count` times with one strategy through the
-    /// **batched** path, appending each completed record to `out`.
+    /// Invokes a function `count` times with one strategy, appending each
+    /// completed record to `out`.
     ///
     /// The per-invocation work (exec sampling, resume → exec → re-pause
     /// under one VMM lock window, per-invocation spans and instants) is
-    /// identical to [`Self::invoke`]; what the batch amortizes is the
+    /// the same for every request; what a batch amortizes is the
     /// bookkeeping *around* it:
     ///
     /// * one registry read for the whole batch instead of one per call;
@@ -574,7 +467,8 @@ impl FaasPlatform {
     ///
     /// Requests are best-effort (no deadline budget). On an error the
     /// records completed so far remain in `out` and the error is
-    /// returned; remaining invocations are not attempted.
+    /// returned; the remaining invocations are not attempted and stay
+    /// the caller's to re-submit.
     ///
     /// # Errors
     ///
@@ -586,6 +480,56 @@ impl FaasPlatform {
         count: usize,
         out: &mut Vec<InvocationRecord>,
     ) -> Result<(), FaasError> {
+        self.serve(function, strategy, count, None, &mut |record| {
+            out.push(record)
+        })
+    }
+
+    /// A batch of one carrying an optional deadline budget — the form
+    /// every single-request entry (here and in the cluster's routing and
+    /// hedge attempts) rides on.
+    pub(crate) fn serve_one(
+        &self,
+        function: FunctionId,
+        strategy: StartStrategy,
+        budget_ns: Option<u64>,
+    ) -> Result<InvocationRecord, FaasError> {
+        let mut served = None;
+        self.serve(function, strategy, 1, budget_ns, &mut |record| {
+            served = Some(record)
+        })?;
+        Ok(served.expect("a served batch of one yields its record"))
+    }
+
+    /// The request loop: serves `count` invocations of one function and
+    /// strategy, handing each completed record to `sink` (a closure, so
+    /// a single request allocates nothing). Stops at the first error;
+    /// the records already handed to `sink` are the ones served.
+    ///
+    /// `budget_ns` is a per-request deadline budget (virtual ns). It is
+    /// enforced at the pool-take boundary (recovery backoffs and
+    /// re-provisioning boots must not eat it) and at the resume
+    /// boundary (initialization itself must fit); a blown budget
+    /// surfaces as [`FaasError::DeadlineExceeded`] naming the boundary.
+    ///
+    /// Trace context: each request mints its own invocation id — unless
+    /// the caller installed a context (the cluster's reliability plane
+    /// does, around each routing or hedge attempt), in which case every
+    /// request reuses the caller's id, its invoke span parents under the
+    /// caller's parent kind, and a failed attempt still records a
+    /// synthetic invoke span so its children stay stitchable. The
+    /// caller's context is restored before returning.
+    pub(crate) fn serve(
+        &self,
+        function: FunctionId,
+        strategy: StartStrategy,
+        count: usize,
+        budget_ns: Option<u64>,
+        sink: &mut impl FnMut(InvocationRecord),
+    ) -> Result<(), FaasError> {
+        // Allocation attribution: everything on the invoke path defaults
+        // to the `Invoke` phase; the pool take and the inner pause/resume
+        // pipelines re-scope themselves more precisely.
         let _alloc = AllocScope::enter(AllocPhase::Invoke);
         if count == 0 {
             return Ok(());
@@ -597,24 +541,49 @@ impl FaasPlatform {
                 .ok_or(FaasError::UnknownFunction(function))?;
             (meta.config(), meta.category())
         };
+        let kind = Self::invoke_kind(strategy);
+        let outer = self.recorder.context();
+        // The caller's parent kind (a routing or hedge attempt span)
+        // becomes the invoke span's causal parent, so stitched
+        // submission trees run submit → attempt → invoke → resume steps.
+        // Standalone, the invoke span is the trace root.
+        let outer_parent = if outer.is_traced() {
+            outer.parent
+        } else {
+            None
+        };
         let mut pool = None;
         let mut completed = 0u64;
-        let mut first_err = None;
+        let mut result = Ok(());
         for _ in 0..count {
             let exec_ns = self.sample_exec_ns(category);
-            let invocation = self.recorder.mint_invocation();
+            // The context's parent is the invoke-phase span, so the
+            // warm-pool take, the scheduler's dispatch instants, the
+            // resume steps and the keep-alive re-pause all attach to the
+            // invocation they serve.
+            let invocation = if outer.is_traced() {
+                outer.invocation
+            } else {
+                self.recorder.mint_invocation()
+            };
             self.recorder.set_context(TraceContext {
                 invocation,
-                parent: Some(Self::invoke_kind(strategy)),
+                parent: Some(kind),
             });
             let t0 = self.recorder.now_ns();
-            let dispatched =
-                self.dispatch_invoke(function, strategy, cfg, exec_ns, t0, None, None, &mut pool);
-            self.recorder.clear_context();
-            match dispatched {
+            match self.dispatch_invoke(
+                function,
+                strategy,
+                cfg,
+                exec_ns,
+                t0,
+                budget_ns,
+                outer_parent,
+                &mut pool,
+            ) {
                 Ok(init_ns) => {
                     completed += 1;
-                    out.push(InvocationRecord {
+                    sink(InvocationRecord {
                         function,
                         strategy,
                         init_ns,
@@ -623,22 +592,35 @@ impl FaasPlatform {
                     });
                 }
                 Err(e) => {
-                    first_err = Some(e);
+                    if outer.is_traced() && self.recorder.is_enabled() {
+                        // A failed attempt under a caller's context still
+                        // emitted children (pool takes, fault recovery,
+                        // deadline re-pooling) parented to the invoke
+                        // kind; a synthetic invoke span covering the
+                        // attempt keeps them stitchable instead of
+                        // orphaned. Standalone, a failed invoke records
+                        // no invoke span.
+                        let now = self.recorder.now_ns();
+                        self.recorder.set_parent(outer_parent);
+                        let dur = now.saturating_sub(t0);
+                        self.recorder.span_at(kind, 0, t0, dur, dur);
+                    }
+                    result = Err(e);
                     break;
                 }
             }
         }
+        // Restore the caller's context so a failed invocation cannot
+        // leak its id onto unrelated work.
+        self.recorder.set_context(outer);
         if completed > 0 {
             self.recorder
                 .count(Self::invoke_counter(strategy), completed);
+            if self.recorder.is_enabled() {
+                self.emit_pool_gauges();
+            }
         }
-        if self.recorder.is_enabled() {
-            self.emit_pool_gauges();
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        result
     }
 
     /// The invoke-phase span kind for a strategy.
@@ -664,9 +646,9 @@ impl FaasPlatform {
     /// One pass over the pool map: the aggregate pooled gauge plus
     /// per-shard occupancy / cold-overflow depth (summed across pools —
     /// the shard axis, not the function axis, is what the contention
-    /// story needs). The sequential path runs it after every invoke;
-    /// the batched path once per batch — gauges are
-    /// latest-value-wins, so both leave the identical reading.
+    /// story needs). Runs once per request loop that served anything —
+    /// gauges are latest-value-wins, so a batch leaves the reading
+    /// `count` single invokes would.
     fn emit_pool_gauges(&self) {
         let mut pooled = 0u64;
         let mut warm = [0u64; horse_telemetry::counters::POOL_GAUGE_SHARDS];
@@ -690,10 +672,10 @@ impl FaasPlatform {
     /// invocation's trace context, returning the init latency.
     ///
     /// `pool` caches the function's warm-pool `Arc` across the pool
-    /// take and the keep-alive re-pause (and, on the batched path,
-    /// across the whole batch): the map lookup runs once, then every
-    /// take/put reuses the resolved shard set. An empty cache is always
-    /// re-resolved, so a pool created mid-flight is still found.
+    /// take and the keep-alive re-pause (and across the whole batch):
+    /// the map lookup runs once, then every take/put reuses the resolved
+    /// shard set. An empty cache is always re-resolved, so a pool
+    /// created mid-flight is still found.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_invoke(
         &self,
@@ -1534,9 +1516,7 @@ mod tests {
         p.provision(f, 1, StartStrategy::Horse).unwrap();
         p.set_recorder(Recorder::enabled());
         // HORSE init is ~200 ns; a 10 ns budget cannot fit it.
-        let e = p
-            .invoke_with_budget(f, StartStrategy::Horse, Some(10))
-            .unwrap_err();
+        let e = p.serve_one(f, StartStrategy::Horse, Some(10)).unwrap_err();
         let FaasError::DeadlineExceeded {
             budget_ns,
             observed_ns,
@@ -1557,7 +1537,7 @@ mod tests {
         assert_eq!(p.recorder().counter_value(Counter::DeadlineMisses), 1);
         // A generous budget sails through unchanged.
         let r = p
-            .invoke_with_budget(f, StartStrategy::Horse, Some(1_000_000))
+            .serve_one(f, StartStrategy::Horse, Some(1_000_000))
             .unwrap();
         assert!(r.init_ns < 1_000);
     }
@@ -1571,12 +1551,45 @@ mod tests {
         // First backoff is 10 µs (base × 2⁰): a 5 µs budget dies at the
         // boundary on the second loop iteration.
         let e = p
-            .invoke_with_budget(f, StartStrategy::Horse, Some(5_000))
+            .serve_one(f, StartStrategy::Horse, Some(5_000))
             .unwrap_err();
         let FaasError::DeadlineExceeded { boundary, .. } = e else {
             panic!("expected DeadlineExceeded, got {e}");
         };
         assert_eq!(boundary, DeadlineBoundary::PoolTake);
+    }
+
+    #[test]
+    fn request_loop_reuses_and_restores_a_callers_context() {
+        let mut p = platform();
+        let f = p.register("nat", Category::Cat2, ull_cfg(2));
+        p.provision(f, 1, StartStrategy::Horse).unwrap();
+        let rec = Recorder::enabled();
+        p.set_recorder(rec.clone());
+        let caller = TraceContext {
+            invocation: rec.mint_invocation(),
+            parent: Some(EventKind::RouteAttempt),
+        };
+        rec.set_context(caller);
+        let mut out = Vec::new();
+        p.invoke_batch(f, StartStrategy::Horse, 2, &mut out)
+            .unwrap();
+        assert!(out.iter().all(|r| r.invocation == caller.invocation));
+        assert_eq!(rec.context(), caller, "restored after success");
+        // A failed attempt still records an invoke span under the caller.
+        assert!(p.invoke(f, StartStrategy::Warm).is_err());
+        assert_eq!(rec.context(), caller, "restored after failure");
+        let snapshot = rec.drain();
+        let invokes: Vec<_> = snapshot
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::InvokeHorse | EventKind::InvokeWarm))
+            .collect();
+        assert_eq!(invokes.len(), 3);
+        assert!(invokes.iter().all(
+            |e| e.invocation == caller.invocation && e.parent == Some(EventKind::RouteAttempt)
+        ));
+        rec.clear_context();
     }
 
     #[test]

@@ -14,13 +14,6 @@ impl FunctionId {
     pub const fn as_u64(self) -> u64 {
         self.0
     }
-
-    /// Rebuilds an id from its raw form. Crate-internal: the submission
-    /// ring round-trips ids through its encoded slot words, and only
-    /// ids minted by [`FunctionRegistry::register`] ever enter a ring.
-    pub(crate) const fn from_raw(raw: u64) -> Self {
-        FunctionId(raw)
-    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
-//! Batch-vs-sequential equivalence: the batched invoke path exists to
-//! amortize bookkeeping, not to change behavior. Every test here runs
-//! the same seeded workload twice — once through a batch entry point
-//! (`FaasPlatform::invoke_batch`, `Cluster::invoke_batch`, or a
-//! `SubmissionRing` drained by `Cluster::submit_ring`) and once through
-//! the one-at-a-time path — and demands bit-identical results: the
-//! records themselves, the counter/gauge ledger, and the stitched
-//! forensic forest fingerprints (which hash virtual timestamps, so even
-//! the event timeline must match).
+//! Batch-vs-sequential equivalence: every single-request entry point is
+//! a batch of one, and batching exists to amortize bookkeeping, not to
+//! change behavior. Most tests here run the same seeded workload twice
+//! — once through a batch entry point (`FaasPlatform::invoke_batch`,
+//! `Cluster::invoke_batch`, `Cluster::submit_batch`) and once one
+//! request at a time — and demand bit-identical results: the records
+//! themselves, the counter/gauge ledger, and the stitched forensic
+//! forest fingerprints (which hash virtual timestamps, so even the
+//! event timeline must match). The rest pin the error contract: a
+//! failed batch returns what it served and keeps nothing behind.
 
 use horse_faas::{
-    Cluster, DispatchPolicy, FaasPlatform, FunctionId, HostId, InvocationRecord, PlatformConfig,
-    Request, StartStrategy, SubmissionRing,
+    Cluster, DispatchPolicy, Disposition, FaasError, FaasPlatform, FunctionId, HostId,
+    InvocationRecord, PlatformConfig, Request, StartStrategy,
 };
 use horse_reliability::{ReliabilityConfig, RequestClass};
 use horse_telemetry::counters::{Counter, Gauge};
@@ -151,12 +152,10 @@ fn cluster_batch_preserves_per_host_record_sequences() {
     }
 }
 
-/// A batch larger than a host's submission ring forces the inline
-/// drain-and-retry path; nothing may be lost or duplicated.
+/// A large single-host batch is one call into the host's request loop;
+/// nothing may be lost, duplicated or reordered.
 #[test]
-fn cluster_batch_survives_ring_overflow() {
-    // One host and more requests than BATCH_RING_CAPACITY (1024), so
-    // enqueueing must drain mid-batch at least once.
+fn cluster_large_batch_matches_sequential_invokes() {
     const COUNT: usize = 1_500;
     let (cluster, f) = plain_cluster(1, 11);
     let mut out = Vec::new();
@@ -171,7 +170,7 @@ fn cluster_batch_survives_ring_overflow() {
         .map(|_| seq_cluster.invoke(f2, StartStrategy::Horse).unwrap().1)
         .collect();
     let batched: Vec<InvocationRecord> = out.into_iter().map(|(_, r)| r).collect();
-    assert_eq!(batched, sequential, "inline ring drain reordered records");
+    assert_eq!(batched, sequential, "the batch reordered records");
 }
 
 const ULL_DEADLINE_NS: u64 = 100_000;
@@ -179,7 +178,7 @@ const BG_DEADLINE_NS: u64 = 50_000_000;
 
 /// A reliable, traced cluster plus a seeded request mix small enough
 /// that admission capacity is never binding (the documented boundary of
-/// the ring/sequential equivalence: `submit_batch` holds the whole
+/// the batch/sequential equivalence: `submit_batch` holds the whole
 /// batch's slots while admitting, the sequential path releases each
 /// before the next).
 fn reliable_cluster(seed: u64) -> (Cluster, Recorder, Vec<Request>) {
@@ -223,21 +222,15 @@ fn reliable_cluster(seed: u64) -> (Cluster, Recorder, Vec<Request>) {
     (cluster, recorder, requests)
 }
 
-/// Tentpole invariant, reliability layer: requests pushed through a
-/// [`SubmissionRing`] and drained by [`Cluster::submit_ring`] yield
+/// Reliability layer: a batch through [`Cluster::submit_batch`] yields
 /// bit-identical dispositions, ledger tallies, and forensic tree
-/// fingerprints vs pushing each through [`Cluster::submit`] one at a
-/// time at the same seed.
+/// fingerprints vs pushing each request through [`Cluster::submit`] one
+/// at a time at the same seed.
 #[test]
-fn ring_submission_is_bit_identical_to_sequential_submits() {
-    let (ring_cluster, ring_recorder, requests) = reliable_cluster(1337);
-    let ring = SubmissionRing::with_capacity(requests.len());
-    for &req in &requests {
-        ring.push(req).expect("ring sized for the whole batch");
-    }
-    let ring_dispositions = ring_cluster.submit_ring(&ring);
-    assert!(ring.is_empty(), "submit_ring must drain the ring");
-    assert_eq!(ring_dispositions.len(), requests.len());
+fn submit_batch_is_bit_identical_to_sequential_submits() {
+    let (batch_cluster, batch_recorder, requests) = reliable_cluster(1337);
+    let batch_dispositions = batch_cluster.submit_batch(&requests);
+    assert_eq!(batch_dispositions.len(), requests.len());
 
     let (seq_cluster, seq_recorder, same_requests) = reliable_cluster(1337);
     assert_eq!(requests, same_requests, "request generation not seeded");
@@ -249,7 +242,7 @@ fn ring_submission_is_bit_identical_to_sequential_submits() {
     // Dispositions carry records, hosts, latencies, hedge and deadline
     // flags; the Debug form covers every field, so string equality is
     // full bit-identity.
-    for (i, (a, b)) in ring_dispositions.iter().zip(&seq_dispositions).enumerate() {
+    for (i, (a, b)) in batch_dispositions.iter().zip(&seq_dispositions).enumerate() {
         assert_eq!(
             format!("{a:?}"),
             format!("{b:?}"),
@@ -258,28 +251,29 @@ fn ring_submission_is_bit_identical_to_sequential_submits() {
     }
 
     assert_eq!(
-        ring_cluster.reliability_snapshot(),
+        batch_cluster.reliability_snapshot(),
         seq_cluster.reliability_snapshot(),
         "reliability ledger diverged"
     );
 
-    let ring_forest = ForensicIndex::stitch(&ring_recorder.drain());
+    let batch_forest = ForensicIndex::stitch(&batch_recorder.drain());
     let seq_forest = ForensicIndex::stitch(&seq_recorder.drain());
-    assert!(ring_forest.is_complete());
+    assert!(batch_forest.is_complete());
     assert!(seq_forest.is_complete());
-    assert_eq!(ring_forest.trees.len(), requests.len());
+    assert_eq!(batch_forest.trees.len(), requests.len());
     assert_eq!(
-        ring_forest.fingerprint(),
+        batch_forest.fingerprint(),
         seq_forest.fingerprint(),
         "forensic forests diverged (structure or virtual timestamps)"
     );
 }
 
-/// Multi-producer feed: three threads push disjoint request streams
-/// into one ring; `submit_ring` must serve exactly the union — nothing
+/// Concurrent submitters: three threads each submit their own batch to
+/// one shared cluster; every thread gets exactly one disposition per
+/// request it submitted, and the ledger counts the union — nothing
 /// lost, nothing duplicated — regardless of interleaving.
 #[test]
-fn ring_submission_conserves_requests_across_producers() {
+fn concurrent_submit_batches_conserve_requests() {
     const PRODUCERS: usize = 3;
     const PER_PRODUCER: usize = 5;
 
@@ -289,30 +283,88 @@ fn ring_submission_conserves_requests_across_producers() {
     cluster
         .provision_all(ull_fn, POOL, StartStrategy::Horse)
         .expect("provisioning a healthy fleet");
-    let ring = std::sync::Arc::new(SubmissionRing::with_capacity(64));
-    std::thread::scope(|s| {
-        for p in 0..PRODUCERS {
-            let ring = std::sync::Arc::clone(&ring);
-            s.spawn(move || {
-                for i in 0..PER_PRODUCER {
-                    ring.push(Request {
-                        function: ull_fn,
-                        strategy: StartStrategy::Horse,
-                        class: RequestClass::Ull,
-                        // Deadline doubles as a (producer, index) tag.
-                        deadline_ns: Some(1_000_000 + (p * PER_PRODUCER + i) as u64),
-                    })
-                    .expect("ring sized for all producers");
-                }
-            });
-        }
+    let completed: usize = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let cluster = &cluster;
+                s.spawn(move || {
+                    let batch: Vec<Request> = (0..PER_PRODUCER)
+                        .map(|i| Request {
+                            function: ull_fn,
+                            strategy: StartStrategy::Horse,
+                            class: RequestClass::Ull,
+                            // Deadline doubles as a (producer, index) tag.
+                            deadline_ns: Some(1_000_000 + (p * PER_PRODUCER + i) as u64),
+                        })
+                        .collect();
+                    let dispositions = cluster.submit_batch(&batch);
+                    assert_eq!(dispositions.len(), PER_PRODUCER);
+                    dispositions
+                        .iter()
+                        .filter(|d| matches!(d, Disposition::Completed { .. }))
+                        .count()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
-    assert_eq!(ring.len(), PRODUCERS * PER_PRODUCER);
+    let snap = cluster.reliability_snapshot();
+    assert_eq!(snap.submissions, (PRODUCERS * PER_PRODUCER) as u64);
+    assert_eq!(snap.completions, completed as u64);
+    assert!(snap.conserves());
+}
 
-    let dispositions = cluster.submit_ring(&ring);
-    assert_eq!(dispositions.len(), PRODUCERS * PER_PRODUCER);
+/// Failover parity and the error contract. With `f` provisioned on
+/// host 1 only, round-robin routes a lone batched request to host 0,
+/// whose pool is dry: the request fails over to host 1 exactly as
+/// [`Cluster::invoke`] does. A failed call keeps nothing behind, so
+/// later calls — for this function or any other — are unaffected.
+#[test]
+fn cluster_batch_fails_over_and_keeps_nothing_behind() {
+    let mut cluster = Cluster::new(2, DispatchPolicy::RoundRobin, 5);
+    let f = cluster.register("filter", Category::Cat3, ull_config());
+    let g = cluster.register("nat", Category::Cat2, ull_config());
+    cluster
+        .provision_on(HostId(1), f, 1, StartStrategy::Horse)
+        .expect("provisioning host 1");
+    cluster
+        .provision_all(g, POOL, StartStrategy::Horse)
+        .expect("provisioning a healthy fleet");
+
+    let mut out = Vec::new();
+    let served = cluster
+        .invoke_batch(f, StartStrategy::Horse, 1, &mut out)
+        .expect("host 0 is dry, so host 1 serves");
+    assert_eq!(served, 1);
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].0, HostId(1));
+
+    out.clear();
+    let served = cluster
+        .invoke_batch(g, StartStrategy::Horse, 4, &mut out)
+        .expect("g is provisioned on every host");
+    assert_eq!(served, 4);
+    assert_eq!(out.len(), 4);
+    assert!(out.iter().all(|(_, r)| r.function == g));
+
+    // No host holds a Warm sandbox for `f`: the whole fleet is dry.
+    out.clear();
+    let err = cluster
+        .invoke_batch(f, StartStrategy::Warm, 3, &mut out)
+        .unwrap_err();
+    assert!(matches!(err, FaasError::NoWarmSandbox { .. }), "{err}");
+    assert!(out.is_empty(), "out holds exactly what was served: nothing");
+
+    // Nothing was left behind to fail (or be served by) the next calls.
     assert_eq!(
-        cluster.reliability_snapshot().submissions,
-        (PRODUCERS * PER_PRODUCER) as u64
+        cluster.invoke_batch(f, StartStrategy::Warm, 0, &mut out),
+        Ok(0)
     );
+    let served = cluster
+        .invoke_batch(g, StartStrategy::Horse, 4, &mut out)
+        .expect("the dry batch left nothing behind");
+    assert_eq!(served, 4);
+    assert!(out.iter().all(|(_, r)| r.function == g));
+    let (host, record) = cluster.invoke(f, StartStrategy::Horse).expect("failover");
+    assert_eq!((host, record.function), (HostId(1), f));
 }
