@@ -6,8 +6,9 @@
 //!
 //! * `BENCH_profile.json` — allocations and bytes per pipeline phase,
 //!   lock acquisitions / nominal wait / CAS retries per contention
-//!   site, per-shard warm-pool occupancy, and the two gated leaves
-//!   (`gate.allocs_per_warm_invoke`, `gate.lock_wait_ns`);
+//!   site, per-shard warm-pool occupancy, and the three gated leaves
+//!   (`gate.allocs_per_warm_invoke`, `gate.allocs_per_horse_invoke`,
+//!   `gate.lock_wait_ns`);
 //! * `BENCH_profile.prom` — the same state as a Prometheus text-format
 //!   page (plus wall-clock lock-wait histograms, which are informative
 //!   only and never gated).
@@ -32,8 +33,10 @@
 //!   `profile_doc` section into the committed baseline, preserving the
 //!   sections other binaries own;
 //! * `profile_report --inflate-allocs 32 --against ...` — perform 32
-//!   extra heap allocations per warm invoke, which MUST trip the gate
-//!   (CI runs this as the gate's negative test).
+//!   extra heap allocations per warm and per HORSE invoke, which MUST
+//!   trip the gate (CI runs this as the gate's negative test);
+//! * `--gate-zero-alloc` — fail unless both measured loops, Warm and
+//!   HORSE, perform exactly zero heap allocations per invoke.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -71,7 +74,7 @@ const NOMINAL_ACQUIRE_NS: u64 = 25;
 /// denominator of `gate.allocs_per_warm_invoke`.
 const WARM_ROUNDS: usize = 200;
 /// HORSE invocations exercising pause/plan/resume/splice/coalesce
-/// phases.
+/// phases — the denominator of `gate.allocs_per_horse_invoke`.
 const HORSE_ROUNDS: usize = 200;
 /// Unmeasured invocations before the measured warm loop. The first few
 /// invocations on a fresh host fill the scratch-buffer pools (plan
@@ -146,6 +149,8 @@ fn git_sha() -> String {
 struct SoakResult {
     /// Total allocations observed during the warm loop (all phases).
     warm_allocs: u64,
+    /// Total allocations observed during the HORSE loop (all phases).
+    horse_allocs: u64,
     /// Per-phase allocation profile at the end of the soak.
     alloc: Vec<PhaseAllocStats>,
     /// Per-site contention profile at the end of the soak.
@@ -208,25 +213,25 @@ fn soak(seed: u64, profiled: bool, inflate_allocs: u64) -> SoakResult {
             .expect("warm invoke");
         virt_init.record(record.init_ns);
         virt_total.record(record.total_ns());
-        // The gate's negative self-test: deliberately allocate per
-        // invoke so `allocs_per_warm_invoke` provably moves.
-        for _ in 0..inflate_allocs {
-            std::hint::black_box(vec![0u8; 256]);
-        }
+        inflate(inflate_allocs);
     }
     let warm_allocs = total_allocs() - allocs_before;
 
+    let allocs_before = total_allocs();
     for _ in 0..HORSE_ROUNDS {
         let (_, record) = cluster
             .invoke(horse_fn, StartStrategy::Horse)
             .expect("horse invoke");
         virt_init.record(record.init_ns);
         virt_total.record(record.total_ns());
+        inflate(inflate_allocs);
     }
+    let horse_allocs = total_allocs() - allocs_before;
     let snapshot = recorder.drain();
 
     let result = SoakResult {
         warm_allocs,
+        horse_allocs,
         alloc: horse_telemetry::alloc::snapshot(),
         contention: horse_telemetry::contention::snapshot(),
         gauges: snapshot.gauges.clone(),
@@ -236,6 +241,14 @@ fn soak(seed: u64, profiled: bool, inflate_allocs: u64) -> SoakResult {
     };
     profiling::set_enabled(false);
     result
+}
+
+/// The gate's negative self-test: deliberately allocate `n` times per
+/// invoke so both per-invoke allocation leaves provably move.
+fn inflate(n: u64) {
+    for _ in 0..n {
+        std::hint::black_box(vec![0u8; 256]);
+    }
 }
 
 /// Allocations observed so far, summed across every phase (including
@@ -267,6 +280,10 @@ fn deterministic_sections(r: &SoakResult) -> Vec<(String, JsonValue)> {
         (
             "allocs_per_warm_invoke".into(),
             num(r.warm_allocs as f64 / WARM_ROUNDS as f64),
+        ),
+        (
+            "allocs_per_horse_invoke".into(),
+            num(r.horse_allocs as f64 / HORSE_ROUNDS as f64),
         ),
         ("lock_wait_ns".into(), num(lock_wait_ns as f64)),
     ]);
@@ -504,19 +521,30 @@ fn main() {
         println!("  {path} = {v:.1}");
     }
 
-    // The exact-zero gate: the steady-state warm path recycles every
-    // buffer it touches, so *any* heap allocation per warm invoke is a
-    // regression — no noise band, the leaf must be 0.0.
+    // The exact-zero gate: the steady-state Warm and HORSE paths
+    // recycle every buffer they touch, so *any* heap allocation per
+    // invoke is a regression — no noise band, each leaf must be 0.0.
     if opts.gate_zero_alloc {
-        let allocs_per_warm = first.warm_allocs as f64 / WARM_ROUNDS as f64;
-        if allocs_per_warm != 0.0 {
-            eprintln!(
-                "zero-alloc gate FAILED: gate.allocs_per_warm_invoke = {allocs_per_warm:.2} \
-                 (the warm path must not allocate)"
-            );
+        let loops = [
+            ("allocs_per_warm_invoke", first.warm_allocs, WARM_ROUNDS),
+            ("allocs_per_horse_invoke", first.horse_allocs, HORSE_ROUNDS),
+        ];
+        let mut failed = false;
+        for (leaf, allocs, rounds) in loops {
+            let per_invoke = allocs as f64 / rounds as f64;
+            if per_invoke == 0.0 {
+                println!("zero-alloc gate: gate.{leaf} == 0");
+            } else {
+                eprintln!(
+                    "zero-alloc gate FAILED: gate.{leaf} = {per_invoke:.2} \
+                     (the steady-state invoke path must not allocate)"
+                );
+                failed = true;
+            }
+        }
+        if failed {
             std::process::exit(1);
         }
-        println!("zero-alloc gate: gate.allocs_per_warm_invoke == 0");
     }
 
     if opts.write_baseline {

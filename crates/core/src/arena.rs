@@ -10,6 +10,14 @@
 //! The arena also counts the operations performed on it (key comparisons,
 //! next-pointer writes, allocations) — the deterministic cost model of
 //! `horse-vmm` converts these counts into virtual nanoseconds.
+//!
+//! Counting rule: **an operation publishes its counts once.** A list or
+//! plan operation tallies the comparisons and pointer writes of its
+//! element loop in locals and adds them to the shared counters with one
+//! [`Arena::add_counts`] before it returns; `alloc`/`free` hold `&mut
+//! self` and bump plain integers. The totals read at every
+//! [`Arena::take_stats`] boundary are exactly those of one atomic add per
+//! element, without a lock-prefixed add in every loop iteration.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -116,7 +124,7 @@ impl<T> Arena<T> {
 
     /// Allocates a node, reusing freed slots when possible.
     pub fn alloc(&mut self, key: i64, value: T) -> NodeRef {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        *self.allocs.get_mut() += 1;
         self.live += 1;
         if let Some(idx) = self.free_list.pop() {
             let slot = &mut self.slots[idx as usize];
@@ -146,7 +154,7 @@ impl<T> Arena<T> {
         *slot.next.get_mut() = NIL;
         self.free_list.push(r.0);
         self.live -= 1;
-        self.frees.fetch_add(1, Ordering::Relaxed);
+        *self.frees.get_mut() += 1;
         node
     }
 
@@ -189,20 +197,30 @@ impl<T> Arena<T> {
     /// threads can splice *disjoint* nodes concurrently. Counted as one
     /// pointer write.
     pub fn set_next(&self, r: NodeRef, next: Option<NodeRef>) {
-        self.pointer_writes.fetch_add(1, Ordering::Relaxed);
+        self.write_next(r, next);
+        self.add_counts(0, 1);
+    }
+
+    /// Writes the intrusive next pointer of `r` without counting it. The
+    /// caller tallies the write and publishes it with
+    /// [`Self::add_counts`] before its operation returns.
+    pub(crate) fn write_next(&self, r: NodeRef, next: Option<NodeRef>) {
         self.slots[r.index()]
             .next
             .store(next.map_or(NIL, |n| n.0), Ordering::Relaxed);
     }
 
-    /// Counts one key comparison (called by list scans).
-    pub(crate) fn count_comparison(&self) {
-        self.comparisons.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a head/tail handle update as a pointer write.
-    pub(crate) fn count_pointer_write(&self) {
-        self.pointer_writes.fetch_add(1, Ordering::Relaxed);
+    /// Publishes the key comparisons and pointer writes (head/tail handle
+    /// updates included) one operation tallied — once per operation, not
+    /// once per element.
+    pub(crate) fn add_counts(&self, comparisons: u64, pointer_writes: u64) {
+        if comparisons != 0 {
+            self.comparisons.fetch_add(comparisons, Ordering::Relaxed);
+        }
+        if pointer_writes != 0 {
+            self.pointer_writes
+                .fetch_add(pointer_writes, Ordering::Relaxed);
+        }
     }
 
     /// Returns the accumulated operation counters and resets them to zero.

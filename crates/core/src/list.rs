@@ -91,34 +91,37 @@ impl SortedList {
     pub fn link_sorted<T>(&mut self, arena: &Arena<T>, node: NodeRef) {
         let key = arena.key(node);
         // Find the last node with key <= `key` (scan counts comparisons).
+        let mut comparisons = 0u64;
         let mut prev: Option<NodeRef> = None;
         let mut cur = self.head;
         while let Some(c) = cur {
-            arena.count_comparison();
+            comparisons += 1;
             if arena.key(c) > key {
                 break;
             }
             prev = Some(c);
             cur = arena.next(c);
         }
+        // node.next plus the head handle or the predecessor's next.
+        let mut writes = 2;
         match prev {
             None => {
-                arena.set_next(node, self.head);
+                arena.write_next(node, self.head);
                 self.head = Some(node);
-                arena.count_pointer_write();
                 if self.tail.is_none() {
                     self.tail = Some(node);
                 }
             }
             Some(p) => {
-                arena.set_next(node, arena.next(p));
-                arena.set_next(p, Some(node));
+                arena.write_next(node, arena.next(p));
+                arena.write_next(p, Some(node));
                 if self.tail == Some(p) {
                     self.tail = Some(node);
-                    arena.count_pointer_write();
+                    writes += 1;
                 }
             }
         }
+        arena.add_counts(comparisons, writes);
         self.len += 1;
     }
 
@@ -130,7 +133,7 @@ impl SortedList {
             self.tail = None;
         }
         self.len -= 1;
-        arena.count_pointer_write();
+        arena.add_counts(0, 1);
         Some(arena.free(h))
     }
 
@@ -155,16 +158,15 @@ impl SortedList {
             if c == target {
                 let after = arena.next(c);
                 match prev {
-                    None => {
-                        self.head = after;
-                        arena.count_pointer_write();
-                    }
-                    Some(p) => arena.set_next(p, after),
+                    None => self.head = after,
+                    Some(p) => arena.write_next(p, after),
                 }
                 if self.tail == Some(c) {
                     self.tail = prev;
                 }
-                arena.set_next(c, None);
+                arena.write_next(c, None);
+                // The head handle or the predecessor's next, plus c.next.
+                arena.add_counts(0, 2);
                 self.len -= 1;
                 return true;
             }
@@ -250,17 +252,22 @@ impl SortedList {
     pub fn merge_walk<T>(&mut self, arena: &Arena<T>, other: SortedList) {
         let mut result_head: Option<NodeRef> = None;
         let mut result_tail: Option<NodeRef> = None;
+        let mut comparisons = 0u64;
+        let mut writes = 0u64;
         let mut a = self.head;
         let mut b = other.head;
         let mut append = |arena: &Arena<T>, node: NodeRef| {
             match result_tail {
                 None => result_head = Some(node),
-                Some(t) => arena.set_next(t, Some(node)),
+                Some(t) => {
+                    arena.write_next(t, Some(node));
+                    writes += 1;
+                }
             }
             result_tail = Some(node);
         };
         while let (Some(x), Some(y)) = (a, b) {
-            arena.count_comparison();
+            comparisons += 1;
             if arena.key(x) <= arena.key(y) {
                 a = arena.next(x);
                 append(arena, x);
@@ -275,8 +282,10 @@ impl SortedList {
             append(arena, node);
         }
         if let Some(t) = result_tail {
-            arena.set_next(t, None);
+            arena.write_next(t, None);
+            writes += 1;
         }
+        arena.add_counts(comparisons, writes);
         self.head = result_head;
         self.tail = result_tail;
         self.len += other.len;

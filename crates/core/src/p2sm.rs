@@ -522,8 +522,9 @@ impl MergePlan {
                     } else {
                         arena.next(prev)
                     };
-                    arena.set_next(node, after);
-                    arena.set_next(prev, Some(node));
+                    arena.write_next(node, after);
+                    arena.write_next(prev, Some(node));
+                    arena.add_counts(0, 2);
                     if prev == sub.tail {
                         sub.tail = node;
                     }
@@ -705,14 +706,20 @@ impl MergePlan {
     pub fn into_list_recycling<T>(self, arena: &Arena<T>) -> (SortedList, PlanBuffers) {
         let mut head: Option<NodeRef> = None;
         let mut tail: Option<NodeRef> = None;
+        let mut writes = 0u64;
         for s in &self.splices {
             match tail {
                 None => head = Some(s.sub.head),
-                Some(t) => arena.set_next(t, Some(s.sub.head)),
+                Some(t) => {
+                    arena.write_next(t, Some(s.sub.head));
+                    writes += 1;
+                }
             }
-            arena.set_next(s.sub.tail, None);
+            arena.write_next(s.sub.tail, None);
+            writes += 1;
             tail = Some(s.sub.tail);
         }
+        arena.add_counts(0, writes);
         let list = SortedList::from_raw_parts(head, tail, self.a_len);
         let Self {
             array_b, splices, ..
@@ -908,11 +915,15 @@ impl SpliceBlock<'_> {
         self.splices[i].sub.len
     }
 
-    /// Executes every splice in the block on the calling thread.
+    /// Executes every splice in the block on the calling thread, then
+    /// publishes the block's pointer writes to the arena counters with a
+    /// single add — concurrent workers never contend on the counters per
+    /// splice, and the joined total is exact.
     pub fn execute<T: Sync>(&self, arena: &Arena<T>) {
-        for i in 0..self.splices.len() {
-            self.execute_one(arena, i);
+        for s in self.splices {
+            self.splice(arena, s.sub.head, s);
         }
+        arena.add_counts(0, 2 * self.splices.len() as u64);
     }
 
     /// Executes splice `i` of the block: links `array_b[anchor] →
@@ -921,10 +932,8 @@ impl SpliceBlock<'_> {
     /// explorer can interleave workers at splice granularity.
     pub fn execute_one<T: Sync>(&self, arena: &Arena<T>, i: usize) {
         let s = &self.splices[i];
-        let anchor_node = self.array_b[s.anchor as usize];
-        let tmp = arena.next(anchor_node);
-        arena.set_next(anchor_node, Some(s.sub.head));
-        arena.set_next(s.sub.tail, tmp);
+        self.splice(arena, s.sub.head, s);
+        arena.add_counts(0, 2);
     }
 
     /// Deliberately buggy variant of [`Self::execute_one`] that links the
@@ -934,10 +943,17 @@ impl SpliceBlock<'_> {
     /// analogue of [`PlanCorruption`]) — never called by a real merge.
     pub fn execute_one_misordered<T: Sync>(&self, arena: &Arena<T>, i: usize) {
         let s = &self.splices[i];
+        self.splice(arena, s.sub.tail, s);
+        arena.add_counts(0, 2);
+    }
+
+    /// The two uncounted pointer writes of one splice: `array_b[anchor]
+    /// → first` and `sub.tail → old next`. Callers publish the count.
+    fn splice<T>(&self, arena: &Arena<T>, first: NodeRef, s: &Splice) {
         let anchor_node = self.array_b[s.anchor as usize];
         let tmp = arena.next(anchor_node);
-        arena.set_next(anchor_node, Some(s.sub.tail));
-        arena.set_next(s.sub.tail, tmp);
+        arena.write_next(anchor_node, Some(first));
+        arena.write_next(s.sub.tail, tmp);
     }
 }
 

@@ -21,7 +21,8 @@
 //! Allocation *counts* for a deterministic workload are themselves
 //! deterministic (collection growth depends only on the operation
 //! sequence), which is what lets `bin/profile_report` gate
-//! `allocs_per_warm_invoke` at ±10% against a committed baseline.
+//! `allocs_per_warm_invoke` and `allocs_per_horse_invoke` at ±10%
+//! against a committed baseline.
 //!
 //! The hooks themselves never allocate: they touch `Cell`s and atomics
 //! only, and use `try_with` so allocations during thread-local teardown

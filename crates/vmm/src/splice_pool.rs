@@ -256,7 +256,7 @@ fn wake_block(block: &SpliceBlock<'_>, wake_nanos_per_vcpu: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use horse_core::{MergePlan, SortedList};
+    use horse_core::{ArenaStats, MergePlan, SortedList};
 
     fn build(arena: &mut Arena<i64>, keys: &[i64]) -> SortedList {
         let mut l = SortedList::new();
@@ -292,6 +292,32 @@ mod tests {
             assert_eq!(merge_with(&mut pool), expected, "workers={workers}");
             assert_eq!(pool.stats().dispatched_workers, workers as u64);
             assert_eq!(pool.stats().parallel_merges, 1);
+        }
+    }
+
+    #[test]
+    fn arena_counts_are_exact_on_every_pool_width() {
+        // Workers splice from real threads; the cost model still needs
+        // the exact totals: 4 node splices × 2 writes + 1 head-splice
+        // write, no comparisons, allocs or frees.
+        let expected = ArenaStats {
+            comparisons: 0,
+            pointer_writes: 9,
+            allocs: 0,
+            frees: 0,
+        };
+        for mut pool in [SplicePool::inline(), SplicePool::parallel(4)] {
+            let mut arena = Arena::new();
+            let mut b = build(&mut arena, &[10, 30, 50, 70]);
+            let a = build(&mut arena, &[5, 20, 40, 60, 80]);
+            let plan = MergePlan::precompute(&arena, &b, a);
+            arena.take_stats();
+            {
+                let staged = plan.stage(&b).unwrap();
+                pool.run(&arena, &staged, &SpliceWatchdog::default(), 0);
+            }
+            plan.finish_staged(&arena, &mut b);
+            assert_eq!(arena.take_stats(), expected, "workers={}", pool.workers());
         }
     }
 

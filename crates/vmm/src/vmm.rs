@@ -230,7 +230,8 @@ impl VmmStats {
 /// scratch. The scratch pools close that loop: a pause recycles what the
 /// previous resume (or `start`) allocated and vice versa, so after the
 /// first cycle the hot path performs **zero heap allocations**
-/// (`gate.allocs_per_warm_invoke == 0`). Reuses are attributed via
+/// (`gate.allocs_per_warm_invoke == 0` and
+/// `gate.allocs_per_horse_invoke == 0`). Reuses are attributed via
 /// [`note_buffer_recycled`] so the profiling plane can distinguish a
 /// pooled steady state from an idle one.
 ///
@@ -1324,8 +1325,8 @@ impl Vmm {
         if let Some(sb) = self.sandboxes.get_mut(&popped.1.sandbox.as_u64()) {
             sb.placements.retain(|p| p.vcpu.id != popped.1.id);
         }
-        let ids = self.paused_on_rq.get(&rq).cloned().unwrap_or_default();
-        for sid in ids {
+        let ids = self.take_paused_on(rq);
+        for &sid in &ids {
             let sb = self.sandboxes.get_mut(&sid.as_u64()).expect("registered");
             if let Some(state) = sb.paused.as_mut() {
                 if let Some(plan) = state.plan.as_mut() {
@@ -1334,6 +1335,7 @@ impl Vmm {
                 }
             }
         }
+        self.restore_paused_on(rq, ids);
         Some(popped)
     }
 
@@ -1516,8 +1518,8 @@ impl Vmm {
     ) -> horse_core::NodeRef {
         let node = self.sched.enqueue_vcpu(rq, credit, vcpu);
         let at_tail = self.sched.queue_list(rq).tail() == Some(node);
-        let ids = self.paused_on_rq.get(&rq).cloned().unwrap_or_default();
-        for sid in ids {
+        let ids = self.take_paused_on(rq);
+        for &sid in &ids {
             if Some(sid) == exclude {
                 continue;
             }
@@ -1533,18 +1535,38 @@ impl Vmm {
                 self.rebuild_plan_for(sid, rq);
             }
         }
+        self.restore_paused_on(rq, ids);
         node
     }
 
     /// Rebuilds the plans of every paused sandbox assigned to `rq`
     /// (except `exclude`), charging the cost as maintenance.
     fn rebuild_plans_on(&mut self, rq: RqId, exclude: Option<SandboxId>) {
-        let ids = self.paused_on_rq.get(&rq).cloned().unwrap_or_default();
-        for sid in ids {
+        let ids = self.take_paused_on(rq);
+        for &sid in &ids {
             if Some(sid) == exclude {
                 continue;
             }
             self.rebuild_plan_for(sid, rq);
+        }
+        self.restore_paused_on(rq, ids);
+    }
+
+    /// Borrows the paused sandboxes planned against `rq` for a
+    /// maintenance walk: the list is moved out (no clone, no allocation)
+    /// and must go back through [`Self::restore_paused_on`]. The walk
+    /// itself only touches plans, never the assignment lists.
+    fn take_paused_on(&mut self, rq: RqId) -> Vec<SandboxId> {
+        self.paused_on_rq
+            .get_mut(&rq)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    fn restore_paused_on(&mut self, rq: RqId, ids: Vec<SandboxId>) {
+        if let Some(slot) = self.paused_on_rq.get_mut(&rq) {
+            debug_assert!(slot.is_empty(), "paused_on_rq changed during a walk");
+            *slot = ids;
         }
     }
 
@@ -1562,8 +1584,6 @@ impl Vmm {
         let rebuilt = self.sched.ull_precompute_in(rq, list, bufs);
         let cost =
             (rebuilt.a_len() + rebuilt.b_len()) as f64 * self.cost.plan_precompute_per_elem_ns;
-        let sb = self.sandboxes.get_mut(&sid.as_u64()).expect("registered");
-        let state = sb.paused.as_mut().expect("still paused");
         state.plan = Some(rebuilt);
         sb.maintenance_ns += cost.round() as u64;
     }
